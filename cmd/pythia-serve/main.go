@@ -139,7 +139,7 @@ func runServe(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler())
 	fmt.Fprintf(os.Stderr, "pythia-serve: listening on http://%s (budget=%d, max-inflight=%d)\n",
 		ln.Addr(), s.Budget().Slots(), cfg.maxInflight)
 
@@ -164,6 +164,22 @@ func runServe(cfg runConfig) error {
 	}
 	fmt.Fprintln(os.Stderr, "pythia-serve: drained, bye")
 	return nil
+}
+
+// Read timeouts of the serving listener. A client that stalls while
+// sending headers is disconnected after readHeaderTimeout; readTimeout
+// bounds reading a whole request, body included, and is sized so a
+// DefaultMaxUploadBytes (32 MiB) upload completes at ~110 KiB/s. There is
+// no write timeout: generate responses are long-lived streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 5 * time.Minute
+)
+
+// newHTTPServer wraps the serving handler in an http.Server with the read
+// timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }
 
 // runHammer measures p50/p99 latency and examples/sec. Without -url it
@@ -227,7 +243,7 @@ func httptestServer(h http.Handler) *selfServer {
 	if err != nil {
 		panic(err)
 	}
-	srv := &http.Server{Handler: h}
+	srv := newHTTPServer(h)
 	go func() {
 		//lint:ignore err-ignored Serve always returns ErrServerClosed after close
 		_ = srv.Serve(ln)

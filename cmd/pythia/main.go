@@ -32,7 +32,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -537,28 +536,47 @@ func cmdGenerate(args []string) error {
 	}
 
 	// Stdout streaming: examples print as they clear the merge frontier,
-	// so memory stays flat no matter how many are generated.
-	enc := json.NewEncoder(os.Stdout)
-	count := 0
-	err = g.GenerateStream(opts, pythia.SinkFunc(func(ex pythia.Example) error {
-		count++
-		if *asJSON {
-			return enc.Encode(ex)
-		}
-		fmt.Printf("[%s/%s] %s\n", ex.Structure, ex.Match, ex.Text)
-		if len(ex.Evidence) > 0 {
-			parts := make([]string, len(ex.Evidence))
-			for i, c := range ex.Evidence {
-				parts[i] = c.Attr + ":" + c.Value
-			}
-			fmt.Printf("    evidence: %s\n", strings.Join(parts, " — "))
-		}
-		fmt.Printf("    query: %s\n", ex.Query)
-		return nil
-	}))
+	// so memory stays flat no matter how many are generated. Output is
+	// buffered and flushed at every unit boundary and at exit.
+	stdout := &stdoutSink{w: bufio.NewWriterSize(os.Stdout, 64<<10), asJSON: *asJSON}
+	err = g.GenerateStream(opts, stdout)
+	if ferr := stdout.w.Flush(); err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%d examples\n", count)
+	fmt.Fprintf(os.Stderr, "%d examples\n", stdout.count)
 	return nil
 }
+
+// stdoutSink prints generate's example stream: pythia.LineEncoder NDJSON
+// with -json, a readable listing otherwise. Writes are buffered and
+// flushed at unit boundaries.
+type stdoutSink struct {
+	w      *bufio.Writer
+	enc    pythia.LineEncoder
+	asJSON bool
+	count  int
+}
+
+func (s *stdoutSink) Emit(ex pythia.Example) error {
+	s.count++
+	if s.asJSON {
+		_, err := s.w.Write(s.enc.Append(s.w.AvailableBuffer(), ex))
+		return err
+	}
+	line := fmt.Appendf(s.w.AvailableBuffer(), "[%s/%s] %s\n", ex.Structure, ex.Match, ex.Text)
+	if len(ex.Evidence) > 0 {
+		parts := make([]string, len(ex.Evidence))
+		for i, c := range ex.Evidence {
+			parts[i] = c.Attr + ":" + c.Value
+		}
+		line = fmt.Appendf(line, "    evidence: %s\n", strings.Join(parts, " — "))
+	}
+	_, err := s.w.Write(fmt.Appendf(line, "    query: %s\n", ex.Query))
+	return err
+}
+
+// EndUnit flushes the unit's output.
+func (s *stdoutSink) EndUnit(int) error { return s.w.Flush() }

@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -254,8 +253,8 @@ func FigColdStart(cfg Config) (FigColdStartResult, error) {
 // the large append table.
 func coldStartGenerate(t *relation.Table, md *pythia.Metadata, seed int64, workers int) ([]byte, error) {
 	g := pythia.NewGenerator(t, md)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var enc pythia.LineEncoder
+	var buf []byte
 	opts := pythia.Options{
 		Mode:        pythia.Templates,
 		Structures:  []pythia.Structure{pythia.AttributeAmb, pythia.RowAmb},
@@ -263,8 +262,11 @@ func coldStartGenerate(t *relation.Table, md *pythia.Metadata, seed int64, worke
 		Seed:        seed,
 		Workers:     workers,
 	}
-	err := g.GenerateStream(opts, pythia.SinkFunc(func(ex pythia.Example) error { return enc.Encode(ex) }))
-	return buf.Bytes(), err
+	err := g.GenerateStream(opts, pythia.SinkFunc(func(ex pythia.Example) error {
+		buf = enc.Append(buf, ex)
+		return nil
+	}))
+	return buf, err
 }
 
 // coldStartTable builds a wide Covid-like table with n rows in day-major

@@ -166,9 +166,9 @@ func (g *Generator) newShard(opts Options) *shard {
 
 // unit is one shardable a-query instance of Algorithm 1: a (structure,
 // match, op, pair-or-key) combination. Units run independently on any
-// shard and emit their examples in the same order the sequential loops
-// would.
-type unit func(sh *shard, emit func(Example)) error
+// shard and return their examples in the same order the sequential loops
+// would, in a buffer sized from the a-query's row count up front.
+type unit func(sh *shard) ([]Example, error)
 
 // ExampleSink consumes the deduplicated example stream of GenerateStream
 // in canonical order. Emit is never called concurrently; an Emit error
@@ -260,13 +260,7 @@ func (g *Generator) GenerateStreamFrom(opts Options, res Resume, sink ExampleSin
 	dedupDrops, emptyDrops := 0, 0
 	err := parallel.StreamShards(parallel.Workers(opts.Workers), len(active),
 		func(int) *shard { return g.newShard(opts) },
-		func(sh *shard, i int) ([]Example, error) {
-			var exs []Example
-			if err := active[i](sh, func(ex Example) { exs = append(exs, ex) }); err != nil {
-				return nil, err
-			}
-			return exs, nil
-		},
+		func(sh *shard, i int) ([]Example, error) { return active[i](sh) },
 		func(i int, exs []Example) error {
 			for _, ex := range exs {
 				if ex.Text == "" {
@@ -346,37 +340,39 @@ func (g *Generator) attrUnits(op string, match Match, opts Options) []unit {
 			continue
 		}
 		pair := pair
-		us = append(us, func(sh *shard, emit func(Example)) error {
-			return g.attrPair(sh, pair, op, match, opts, emit)
+		us = append(us, func(sh *shard) ([]Example, error) {
+			return g.attrPair(sh, pair, op, match, opts)
 		})
 	}
 	return us
 }
 
 // attrPair runs one attribute-ambiguity a-query instance.
-func (g *Generator) attrPair(sh *shard, pair model.Pair, op string, match Match, opts Options, emit func(Example)) error {
+func (g *Generator) attrPair(sh *shard, pair model.Pair, op string, match Match, opts Options) ([]Example, error) {
 	pk := g.md.Profile.PrimaryKey
 	if opts.Mode == Templates {
 		q := attrTemplateQuery(g.table.Name, pk, pair.AttrA, pair.AttrB, op, match, pair.Label, opts.MaxPerQuery)
 		res, err := sh.engine.Query(q)
 		if err != nil {
-			return fmt.Errorf("pythia: attribute template query: %w", err)
+			return nil, fmt.Errorf("pythia: attribute template query: %w", err)
 		}
+		exs := make([]Example, 0, len(res.Rows))
 		for _, row := range res.Rows {
-			emit(Example{
+			exs = append(exs, Example{
 				Query: q, Text: row[0].AsString(),
 				Structure: AttributeAmb, Match: match,
 				Label: pair.Label, Attrs: []string{pair.AttrA, pair.AttrB},
 				KeyAttrs: pk, Op: op,
 			})
 		}
-		return nil
+		return exs, nil
 	}
 	q := attrEvidenceQuery(g.table.Name, pk, pair.AttrA, pair.AttrB, op, match, opts.MaxPerQuery)
 	res, err := sh.engine.Query(q)
 	if err != nil {
-		return fmt.Errorf("pythia: attribute evidence query: %w", err)
+		return nil, fmt.Errorf("pythia: attribute evidence query: %w", err)
 	}
+	exs := make([]Example, 0, len(res.Rows))
 	for i, row := range res.Rows {
 		n := len(pk)
 		keys1 := keyCells(pk, row[:n])
@@ -395,14 +391,14 @@ func (g *Generator) attrPair(sh *shard, pair model.Pair, op string, match Match,
 		} else {
 			text = sh.gen.Comparative(keys1, keys2, pair.Label, op)
 		}
-		emit(Example{
+		exs = append(exs, Example{
 			Query: q, Text: text, IsQuestion: question,
 			Structure: AttributeAmb, Match: match,
 			Label: pair.Label, Attrs: []string{pair.AttrA, pair.AttrB},
 			KeyAttrs: pk, Evidence: evidence, Op: op,
 		})
 	}
-	return nil
+	return exs, nil
 }
 
 // rowUnits enumerates row-ambiguity units: one a-query per composite key
@@ -423,8 +419,8 @@ func (g *Generator) rowUnits(op string, match Match, opts Options) []unit {
 				continue
 			}
 			ck, att := ck, att
-			us = append(us, func(sh *shard, emit func(Example)) error {
-				return g.rowKeyAttr(sh, ck, att, op, match, opts, emit)
+			us = append(us, func(sh *shard) ([]Example, error) {
+				return g.rowKeyAttr(sh, ck, att, op, match, opts)
 			})
 		}
 	}
@@ -432,28 +428,30 @@ func (g *Generator) rowUnits(op string, match Match, opts Options) []unit {
 }
 
 // rowKeyAttr runs one row-ambiguity a-query instance.
-func (g *Generator) rowKeyAttr(sh *shard, ck []string, att, op string, match Match, opts Options, emit func(Example)) error {
+func (g *Generator) rowKeyAttr(sh *shard, ck []string, att, op string, match Match, opts Options) ([]Example, error) {
 	subset, rest := ck[:1], ck[1:]
 	if opts.Mode == Templates {
 		q := rowTemplateQuery(g.table.Name, subset, rest, att, op, match, opts.MaxPerQuery)
 		res, err := sh.engine.Query(q)
 		if err != nil {
-			return fmt.Errorf("pythia: row template query: %w", err)
+			return nil, fmt.Errorf("pythia: row template query: %w", err)
 		}
+		exs := make([]Example, 0, len(res.Rows))
 		for _, row := range res.Rows {
-			emit(Example{
+			exs = append(exs, Example{
 				Query: q, Text: row[0].AsString(),
 				Structure: RowAmb, Match: match,
 				Attrs: []string{att}, KeyAttrs: subset, Op: op,
 			})
 		}
-		return nil
+		return exs, nil
 	}
 	q := rowEvidenceQuery(g.table.Name, subset, rest, att, op, match, opts.MaxPerQuery)
 	res, err := sh.engine.Query(q)
 	if err != nil {
-		return fmt.Errorf("pythia: row evidence query: %w", err)
+		return nil, fmt.Errorf("pythia: row evidence query: %w", err)
 	}
+	exs := make([]Example, 0, len(res.Rows))
 	for i, row := range res.Rows {
 		n := len(subset)
 		partial := keyCells(subset, row[:n])
@@ -474,13 +472,13 @@ func (g *Generator) rowKeyAttr(sh *shard, ck []string, att, op string, match Mat
 		} else {
 			text = sh.gen.RowStatement(partial, measure, op)
 		}
-		emit(Example{
+		exs = append(exs, Example{
 			Query: q, Text: text, IsQuestion: question,
 			Structure: RowAmb, Match: match,
 			Attrs: []string{att}, KeyAttrs: subset, Evidence: evidence, Op: op,
 		})
 	}
-	return nil
+	return exs, nil
 }
 
 // fullUnits enumerates full-ambiguity units: partial subject plus an
@@ -505,8 +503,8 @@ func (g *Generator) fullUnits(op string, match Match, opts Options) []unit {
 				continue
 			}
 			ck, pair := ck, pair
-			us = append(us, func(sh *shard, emit func(Example)) error {
-				return g.fullKeyPair(sh, ck, pair, op, match, opts, emit)
+			us = append(us, func(sh *shard) ([]Example, error) {
+				return g.fullKeyPair(sh, ck, pair, op, match, opts)
 			})
 		}
 	}
@@ -514,23 +512,24 @@ func (g *Generator) fullUnits(op string, match Match, opts Options) []unit {
 }
 
 // fullKeyPair runs one full-ambiguity a-query instance.
-func (g *Generator) fullKeyPair(sh *shard, ck []string, pair model.Pair, op string, match Match, opts Options, emit func(Example)) error {
+func (g *Generator) fullKeyPair(sh *shard, ck []string, pair model.Pair, op string, match Match, opts Options) ([]Example, error) {
 	subset, rest := ck[:1], ck[1:]
 	if opts.Mode == Templates {
 		q := fullTemplateQuery(g.table.Name, subset, rest, pair.AttrA, pair.Label, opts.MaxPerQuery)
 		res, err := sh.engine.Query(q)
 		if err != nil {
-			return fmt.Errorf("pythia: full template query: %w", err)
+			return nil, fmt.Errorf("pythia: full template query: %w", err)
 		}
+		exs := make([]Example, 0, len(res.Rows))
 		for _, row := range res.Rows {
-			emit(Example{
+			exs = append(exs, Example{
 				Query: q, Text: row[0].AsString(),
 				Structure: FullAmb, Match: match,
 				Label: pair.Label, Attrs: []string{pair.AttrA, pair.AttrB},
 				KeyAttrs: subset, Op: op,
 			})
 		}
-		return nil
+		return exs, nil
 	}
 	// The quota counts rows of the requested match kind, but the query
 	// returns both kinds interleaved — so it must run unbounded and stop
@@ -540,11 +539,15 @@ func (g *Generator) fullKeyPair(sh *shard, ck []string, pair model.Pair, op stri
 	q := fullEvidenceQuery(g.table.Name, subset, rest, pair.AttrA, pair.AttrB, 0)
 	res, err := sh.engine.Query(q)
 	if err != nil {
-		return fmt.Errorf("pythia: full evidence query: %w", err)
+		return nil, fmt.Errorf("pythia: full evidence query: %w", err)
 	}
-	emitted := 0
+	size := len(res.Rows)
+	if opts.MaxPerQuery > 0 && opts.MaxPerQuery < size {
+		size = opts.MaxPerQuery
+	}
+	exs := make([]Example, 0, size)
 	for i, row := range res.Rows {
-		if opts.MaxPerQuery > 0 && emitted >= opts.MaxPerQuery {
+		if opts.MaxPerQuery > 0 && len(exs) >= opts.MaxPerQuery {
 			pyMet.quotaDrops.Add(int64(len(res.Rows) - i))
 			break
 		}
@@ -580,15 +583,14 @@ func (g *Generator) fullKeyPair(sh *shard, ck []string, pair model.Pair, op stri
 		} else {
 			text = sh.gen.Statement(partial, measure)
 		}
-		emit(Example{
+		exs = append(exs, Example{
 			Query: q, Text: text, IsQuestion: question,
 			Structure: FullAmb, Match: match,
 			Label: pair.Label, Attrs: []string{pair.AttrA, pair.AttrB},
 			KeyAttrs: subset, Evidence: evidence, Op: op,
 		})
-		emitted++
 	}
-	return nil
+	return exs, nil
 }
 
 // NotAmbiguous generates control examples without data ambiguity: subjects

@@ -10,7 +10,7 @@ import (
 )
 
 // paperTable is Table I of the paper.
-func paperTable(t *testing.T) *relation.Table {
+func paperTable(t testing.TB) *relation.Table {
 	t.Helper()
 	tab, err := relation.ReadCSVString("D", `Player,Team,FG%,3FG%,fouls,apps
 Carter,LA,56,47,4,5
@@ -24,7 +24,7 @@ Carter,SF,50,51,3,3
 }
 
 // paperMetadata supplies the ground-truth metadata for Table I.
-func paperMetadata(t *testing.T, tab *relation.Table) *Metadata {
+func paperMetadata(t testing.TB, tab *relation.Table) *Metadata {
 	t.Helper()
 	md, err := WithPairs(tab, []model.Pair{
 		{AttrA: "FG%", AttrB: "3FG%", Label: "shooting", Score: 1},

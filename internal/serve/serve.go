@@ -16,6 +16,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/csv"
 	"encoding/hex"
@@ -584,10 +585,11 @@ func (g GenerateRequest) options() (pythia.Options, error) {
 	return opts, nil
 }
 
-// handleGenerate streams examples as NDJSON — one json.Encoder line per
-// example, byte-identical to `pythia generate -json` for the same options —
-// flushing after every line so consumers see examples as the merge frontier
-// releases them. Admission past MaxInflight is refused with 429; the worker
+// handleGenerate streams examples as NDJSON — pythia.LineEncoder lines,
+// byte-identical to `pythia generate -json` for the same options — and
+// flushes at every unit boundary, so consumers see each a-query's examples
+// as soon as the merge frontier releases them, in one write instead of one
+// per line. Admission past MaxInflight is refused with 429; the worker
 // pool width is whatever the global budget grants. A client disconnect
 // aborts generation at the next emit and returns the grant to the budget.
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -647,24 +649,9 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 	met.activeStreams.Add(1)
 	defer met.activeStreams.Add(-1)
-	enc := json.NewEncoder(w)
-	streamed := 0
-	err = tn.gen.GenerateStream(opts, pythia.SinkFunc(func(ex pythia.Example) error {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		if err := enc.Encode(ex); err != nil {
-			return err
-		}
-		streamed++
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}))
-	met.examples.Add(int64(streamed))
+	sink := &responseSink{ctx: ctx, w: w, flusher: flusher}
+	err = tn.gen.GenerateStream(opts, sink)
+	met.examples.Add(int64(sink.streamed))
 	if err != nil {
 		// The stream is already committed; all we can do is classify.
 		if ctx.Err() != nil {
@@ -673,4 +660,53 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			met.streamErrors.Inc()
 		}
 	}
+}
+
+// responseBufSize caps the lines a generate stream holds before writing
+// them out, so a large unit costs a bounded buffer per request.
+const responseBufSize = 64 << 10
+
+// responseSink encodes a generate stream into the response body. Lines
+// collect in buf and go out in writes of up to responseBufSize, with one
+// flush per unit boundary; Emit checks the request context, so a
+// disconnected client stops generation at the next example.
+type responseSink struct {
+	ctx      context.Context
+	w        io.Writer
+	flusher  http.Flusher // nil when the writer cannot flush
+	enc      pythia.LineEncoder
+	buf      []byte
+	streamed int
+}
+
+func (s *responseSink) Emit(ex pythia.Example) error {
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
+	s.buf = s.enc.Append(s.buf, ex)
+	s.streamed++
+	if len(s.buf) >= responseBufSize {
+		return s.write()
+	}
+	return nil
+}
+
+// EndUnit writes the unit's remaining lines and flushes the response.
+func (s *responseSink) EndUnit(int) error {
+	if err := s.write(); err != nil {
+		return err
+	}
+	if s.flusher != nil {
+		s.flusher.Flush()
+	}
+	return nil
+}
+
+func (s *responseSink) write() error {
+	if len(s.buf) == 0 {
+		return nil
+	}
+	_, err := s.w.Write(s.buf)
+	s.buf = s.buf[:0]
+	return err
 }

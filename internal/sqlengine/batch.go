@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"strings"
+	"sync"
 
 	"repro/internal/relation"
 )
@@ -343,7 +344,9 @@ func (em *batchEmitter) emit(li, ri int32) {
 				continue
 			}
 			start := int32(em.carver.bb.Len())
-			for _, part := range em.bparts[i] {
+			parts := em.bparts[i]
+			for j := range parts {
+				part := &parts[j]
 				if part.fmt == nil {
 					em.carver.bb.Write(part.lit)
 				} else {
@@ -462,8 +465,6 @@ func (e *Engine) runBatch(p *plan) (*relation.Table, bool) {
 			lv, rv := &lcs.Cols[c.li], &rcs.Cols[c.ri]
 			cmps[i] = boundCmp{vecCmp: c, lv: lv, rv: rv, nulls: lv.HasNulls || rv.HasNulls}
 		}
-		// The index resolves once (one build or one hit per query), shared
-		// by both probe passes.
 		var intIdx map[int64][]int32
 		var strIdx map[string][]int32
 		if bp.keyKind == relation.KindString {
@@ -471,26 +472,35 @@ func (e *Engine) runBatch(p *plan) (*relation.Table, bool) {
 		} else {
 			intIdx = rtv.intIndex(bp.keyR, rcs)
 		}
-		// Counting pre-pass: the probe runs twice, first tallying matches so
-		// the emitter allocates its output exactly. The second pass is pure
-		// typed compares over cached buckets — far cheaper than the growth
-		// garbage it avoids.
-		count, limit := 0, em.limit
+		// One probe pass collects the matching pairs, so the emitter
+		// allocates its output exactly without probing twice. The pair
+		// buffer is recycled across queries. LIMIT caps the collection
+		// unless DISTINCT may drop some of the pairs.
+		buf := pairBufs.Get().(*[]int32)
+		pairs := (*buf)[:0]
+		limit := em.limit
+		if em.distinct {
+			limit = -1
+		}
 		probeBatch(bp, lcs, intIdx, strIdx, leftSel, rightBits, cmps, func(li, ri int32) bool {
-			count++
-			return limit < 0 || count < limit
+			pairs = append(pairs, li, ri)
+			return limit < 0 || len(pairs) < 2*limit
 		})
-		em.reserve(count)
-		probeBatch(bp, lcs, intIdx, strIdx, leftSel, rightBits, cmps, func(li, ri int32) bool {
-			em.emit(li, ri)
-			return !em.done
-		})
+		em.reserve(len(pairs) / 2)
+		for k := 0; k < len(pairs) && !em.done; k += 2 {
+			em.emit(pairs[k], pairs[k+1])
+		}
+		*buf = pairs[:0]
+		pairBufs.Put(buf)
 	}
 
 	out := em.finish()
 	met.batchRows.Add(int64(len(out)))
 	return finishResult(p, out), true
 }
+
+// pairBufs recycles the (left, right) match buffers of runBatch's probe.
+var pairBufs = sync.Pool{New: func() any { return new([]int32) }}
 
 // forSel applies f to each selected row index, or to every row in [0, n)
 // when sel is nil ("all rows"). f returning false stops the walk.

@@ -23,24 +23,26 @@ func TestTemplateConcatBatchFloor(t *testing.T) {
 		allocCeiling = 20_000
 		reps         = 3
 	)
-	// Best-of-reps: load inflates a measurement but never deflates it, so
-	// the minimum of several runs is the stable comparison point for both
-	// sides.
-	measure := func(bench func(*testing.B)) (ns float64, allocs int64) {
-		for i := 0; i < reps; i++ {
-			r := testing.Benchmark(bench)
-			if perOp := float64(r.NsPerOp()); i == 0 || perOp < ns {
-				ns = perOp
-			}
-			if perOp := r.AllocsPerOp(); i == 0 || perOp < allocs {
-				allocs = perOp
-			}
+	// Best-of-reps per side, with the two sides' trials interleaved pairwise
+	// and the same rep count on both: load inflates a measurement but never
+	// deflates it, so the minimum is the stable comparison point, and
+	// alternating A/B spreads any burst of background load over both sides
+	// instead of landing it on whichever side happened to run second.
+	var batchNs, fallbackNs float64
+	var batchAllocs int64
+	for i := 0; i < reps; i++ {
+		b := testing.Benchmark(BenchmarkAQueryTemplateConcat)
+		f := testing.Benchmark(BenchmarkAQueryTemplateConcatFallback)
+		if ns := float64(b.NsPerOp()); i == 0 || ns < batchNs {
+			batchNs = ns
 		}
-		return ns, allocs
+		if a := b.AllocsPerOp(); i == 0 || a < batchAllocs {
+			batchAllocs = a
+		}
+		if ns := float64(f.NsPerOp()); i == 0 || ns < fallbackNs {
+			fallbackNs = ns
+		}
 	}
-
-	batchNs, batchAllocs := measure(BenchmarkAQueryTemplateConcat)
-	fallbackNs, _ := measure(BenchmarkAQueryTemplateConcatFallback)
 
 	ratio := fallbackNs / batchNs
 	t.Logf("TemplateConcat: batch %.0f ns/op (%d allocs/op), fallback %.0f ns/op, speedup %.2fx",

@@ -8,13 +8,23 @@
 // fingerprint, seed, per-shard example/byte counts and the first unit not
 // yet covered by the flushed prefix.
 //
+// Checkpoints are pipelined: the caller's goroutine only flushes the shard
+// buffer and snapshots the state; one background goroutine fsyncs the
+// shard, writes and fsyncs the manifest temp file, renames it and fsyncs
+// the directory. At most one checkpoint is in flight — the next
+// checkpoint, a shard rotation, Finish and Close wait for it first and
+// return its error — so generation overlaps the fsyncs without ever
+// reordering them.
+//
 // The manifest is the durability contract (the checkpoint-every-N +
-// same-args-resume pattern): everything it records is on disk, anything
-// past it is disposable. Resuming with the same arguments truncates each
-// shard back to its recorded byte count, deletes shards the manifest never
-// committed, replays the text-dedup set from the surviving lines and
-// reports the unit index to continue from — so an interrupted run picks up
-// at its last checkpoint and completes to a byte-identical total output.
+// same-args-resume pattern): everything it records is on disk — a
+// manifest is only written after the fsync of the bytes it records has
+// returned — and anything past it is disposable. Resuming with the same
+// arguments truncates each shard back to its recorded byte count, deletes
+// shards the manifest never committed, replays the text-dedup set from the
+// surviving lines and reports the unit index to continue from — so an
+// interrupted run picks up at its last checkpoint and completes to a
+// byte-identical total output.
 // A fingerprint or layout mismatch refuses to resume rather than silently
 // mixing two different streams.
 package stream
@@ -22,6 +32,7 @@ package stream
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,10 +52,14 @@ const (
 	manifestVersion = 1
 	manifestName    = "manifest.json"
 	shardPattern    = "shard-%05d.ndjson"
+	// shardBufSize is the shard write buffer: large writes keep the
+	// per-example cost off the syscall path.
+	shardBufSize = 64 << 10
 )
 
 // met holds the sink's metric handles: examples flushed to durable
-// storage, checkpoints written, and units skipped on resume.
+// storage, checkpoints written (both advanced when a checkpoint commits,
+// not when it is issued), and units skipped on resume.
 var met = struct {
 	flushed     *telemetry.Counter
 	checkpoints *telemetry.Counter
@@ -124,20 +139,26 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // FileSink writes the example stream to sharded NDJSON files under one
 // directory, checkpointing through a manifest. It implements
 // pythia.ExampleSink and pythia.UnitSink; it is not safe for concurrent
-// use (GenerateStream emits from one goroutine).
+// use (GenerateStream emits from one goroutine), apart from the one
+// background checkpoint it runs itself.
 type FileSink struct {
 	cfg    Config
 	shards []ShardInfo // live state; committed to the manifest at checkpoints
+	enc    pythia.LineEncoder
 
-	cur     *os.File
-	curCW   *countingWriter
-	curBuf  *bufio.Writer
-	scratch []byte // reusable line buffer
+	cur    *os.File
+	curCW  *countingWriter
+	curBuf *bufio.Writer
 
 	total           int // examples written (including buffered)
-	flushed         int // examples known durable (last checkpoint)
+	flushed         int // examples recorded by the last committed manifest
 	sinceCheckpoint int
 	nextUnit        int // first unit not fully written
+
+	// pending carries the in-flight checkpoint's result (nil when none is
+	// in flight); pendingExamples is the example count it records.
+	pending         chan error
+	pendingExamples int
 }
 
 // Open creates or resumes a streaming run in cfg.Dir. With resume false
@@ -232,7 +253,7 @@ func resumeFrom(cfg Config, m *Manifest) (pythia.Resume, *FileSink, error) {
 		}
 		s.cur = f
 		s.curCW = &countingWriter{f: f, n: last.Bytes}
-		s.curBuf = bufio.NewWriter(s.curCW)
+		s.curBuf = bufio.NewWriterSize(s.curCW, shardBufSize)
 	}
 	met.skipped.Add(int64(m.NextUnit))
 	return pythia.Resume{NextUnit: m.NextUnit, Seen: seen}, s, nil
@@ -277,15 +298,19 @@ func (s *FileSink) rotate() error {
 	}
 	s.cur = f
 	s.curCW = &countingWriter{f: f}
-	s.curBuf = bufio.NewWriter(s.curCW)
+	s.curBuf = bufio.NewWriterSize(s.curCW, shardBufSize)
 	s.shards = append(s.shards, ShardInfo{File: name})
 	return nil
 }
 
-// closeCurrent flushes, syncs and closes the open shard file, recording its
+// closeCurrent waits for the in-flight checkpoint (it may be syncing this
+// file), then flushes, syncs and closes the open shard file, recording its
 // final byte length — a closed shard is fully durable, so later manifests
 // must describe all of it, not just its last mid-shard checkpoint.
 func (s *FileSink) closeCurrent() error {
+	if err := s.wait(); err != nil {
+		return err
+	}
 	if err := s.curBuf.Flush(); err != nil {
 		return err
 	}
@@ -299,8 +324,8 @@ func (s *FileSink) closeCurrent() error {
 }
 
 // Emit appends one example to the current shard as a JSON line — the
-// exact bytes json.Encoder would produce, so concatenating the shards
-// reproduces Generate's NDJSON byte-for-byte.
+// exact bytes json.Encoder would produce (pythia.LineEncoder), so
+// concatenating the shards reproduces Generate's NDJSON byte-for-byte.
 func (s *FileSink) Emit(ex pythia.Example) error {
 	cur := len(s.shards) - 1
 	if s.cur == nil || s.shards[cur].Examples >= s.cfg.ShardSize {
@@ -309,12 +334,9 @@ func (s *FileSink) Emit(ex pythia.Example) error {
 		}
 		cur = len(s.shards) - 1
 	}
-	line, err := json.Marshal(ex)
-	if err != nil {
-		return err
-	}
-	s.scratch = append(append(s.scratch[:0], line...), '\n')
-	if _, err := s.curBuf.Write(s.scratch); err != nil {
+	// Encoding into the buffer's free tail makes the Write a no-copy
+	// commit whenever the line fits.
+	if _, err := s.curBuf.Write(s.enc.Append(s.curBuf.AvailableBuffer(), ex)); err != nil {
 		return err
 	}
 	s.shards[cur].Examples++
@@ -334,15 +356,19 @@ func (s *FileSink) EndUnit(unit int) error {
 	return nil
 }
 
-// checkpoint makes the written prefix durable and commits it to the
-// manifest: flush the shard buffer, fsync the file, then atomically
-// replace manifest.json (write temp + rename).
+// checkpoint issues a checkpoint of the written prefix: after the previous
+// one has committed, flush the shard buffer and snapshot the shards,
+// example count and next unit, then hand the durable half to a background
+// goroutine — fsync the shard, atomically replace manifest.json (write
+// temp + fsync + rename + directory fsync). The manifest is written only
+// after the shard's fsync returned, so it never records bytes that are
+// not on disk.
 func (s *FileSink) checkpoint(complete bool) error {
+	if err := s.wait(); err != nil {
+		return err
+	}
 	if s.cur != nil {
 		if err := s.curBuf.Flush(); err != nil {
-			return err
-		}
-		if err := s.cur.Sync(); err != nil {
 			return err
 		}
 		s.shards[len(s.shards)-1].Bytes = s.curCW.n
@@ -353,46 +379,74 @@ func (s *FileSink) checkpoint(complete bool) error {
 		Seed:            s.cfg.Seed,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		ShardSize:       s.cfg.ShardSize,
-		Shards:          s.shards,
+		Shards:          append([]ShardInfo(nil), s.shards...),
 		Examples:        s.total,
 		NextUnit:        s.nextUnit,
 		Complete:        complete,
 	}
-	if err := writeManifest(filepath.Join(s.cfg.Dir, manifestName), m); err != nil {
-		return err
-	}
-	met.checkpoints.Inc()
-	met.flushed.Add(int64(s.total - s.flushed))
-	s.flushed = s.total
+	f, path, newlyFlushed := s.cur, filepath.Join(s.cfg.Dir, manifestName), int64(s.total-s.flushed)
+	done := make(chan error, 1)
+	go func() {
+		if f != nil {
+			if err := f.Sync(); err != nil {
+				done <- err
+				return
+			}
+		}
+		if err := writeManifest(path, m); err != nil {
+			done <- err
+			return
+		}
+		met.checkpoints.Inc()
+		met.flushed.Add(newlyFlushed)
+		done <- nil
+	}()
+	s.pending, s.pendingExamples = done, s.total
 	s.sinceCheckpoint = 0
 	return nil
 }
 
-// Finish writes the final checkpoint with the completion marker and closes
-// the sink. Call it only after GenerateStream returned nil; after an
-// error, call Close instead so the last durable checkpoint stays the
-// resume point.
+// wait blocks until the in-flight checkpoint, if any, has committed or
+// failed, and returns its error. A failed checkpoint leaves the previous
+// manifest in place; the next successful one covers its bytes too.
+func (s *FileSink) wait() error {
+	if s.pending == nil {
+		return nil
+	}
+	err := <-s.pending
+	s.pending = nil
+	if err == nil {
+		s.flushed = s.pendingExamples
+	}
+	return err
+}
+
+// Finish closes the last shard, writes the final manifest with the
+// completion marker and waits for it to commit. Call it only after
+// GenerateStream returned nil; after an error, call Close instead so the
+// last durable checkpoint stays the resume point.
 func (s *FileSink) Finish() error {
+	if s.cur != nil {
+		if err := s.closeCurrent(); err != nil {
+			return err
+		}
+	}
 	if err := s.checkpoint(true); err != nil {
 		return err
 	}
-	if s.cur != nil {
-		return s.closeCurrent()
-	}
-	return nil
+	return s.wait()
 }
 
-// Close releases the open shard file without touching the manifest: data
-// past the last checkpoint stays in the file (resume truncates it), and
-// the manifest keeps describing the durable prefix.
+// Close waits for the in-flight checkpoint and releases the open shard
+// file without touching the manifest: data past the last checkpoint stays
+// in the file (resume truncates it), and the manifest keeps describing
+// the durable prefix. It returns the in-flight checkpoint's error, if any.
 func (s *FileSink) Close() error {
+	err := s.wait()
 	if s.cur == nil {
-		return nil
-	}
-	if err := s.curBuf.Flush(); err != nil {
 		return err
 	}
-	err := s.cur.Close()
+	err = errors.Join(err, s.curBuf.Flush(), s.cur.Close())
 	s.cur, s.curBuf, s.curCW = nil, nil, nil
 	return err
 }
