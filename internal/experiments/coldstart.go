@@ -182,10 +182,12 @@ func FigColdStart(cfg Config) (FigColdStartResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("experiments: fig coldstart: base discover: %w", err)
 		}
+		// The timed region is pythia-serve's append: extend and derive off
+		// the engine, then publish with Swap.
 		start = time.Now()
-		ext, err = eng.Append(full.Name, delta)
+		ext, err = base.Extend(delta)
 		if err != nil {
-			return res, fmt.Errorf("experiments: fig coldstart: engine append: %w", err)
+			return res, fmt.Errorf("experiments: fig coldstart: extend: %w", err)
 		}
 		if _, err := inc.Append(ext, baseRows); err != nil {
 			return res, fmt.Errorf("experiments: fig coldstart: incremental profile: %w", err)
@@ -193,6 +195,9 @@ func FigColdStart(cfg Config) (FigColdStartResult, error) {
 		mdInc, err = pythia.UpdateMetadata(baseMd, pred, ext, inc, baseRows)
 		if err != nil {
 			return res, fmt.Errorf("experiments: fig coldstart: update metadata: %w", err)
+		}
+		if err := eng.Swap(base, ext); err != nil {
+			return res, fmt.Errorf("experiments: fig coldstart: publish append: %w", err)
 		}
 		if sec := time.Since(start).Seconds(); i == 0 || sec < res.IncrementalSeconds {
 			res.IncrementalSeconds = sec

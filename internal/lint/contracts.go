@@ -418,6 +418,34 @@ func lockCall(p *Package, e ast.Expr, names ...string) (key string, ok bool) {
 	return types.ExprString(sel.X), true
 }
 
+// syncLockTypes are the sync types containsLock looks for.
+var syncLockTypes = map[string]bool{
+	"Mutex": true, "RWMutex": true, "WaitGroup": true,
+	"Once": true, "Cond": true, "Map": true, "Pool": true,
+}
+
+// containsLock returns the sync type reachable from t by value (directly,
+// or through struct fields and array elements), or nil. Pointers, slices,
+// maps and channels stop the search.
+func containsLock(t types.Type) types.Type {
+	switch u := types.Unalias(t).(type) {
+	case *types.Named:
+		if obj := u.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" && syncLockTypes[obj.Name()] {
+			return t
+		}
+		return containsLock(u.Underlying())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if found := containsLock(u.Field(i).Type()); found != nil {
+				return found
+			}
+		}
+	case *types.Array:
+		return containsLock(u.Elem())
+	}
+	return nil
+}
+
 // blockingOps collects the blocking operations under stmt, not descending
 // into function literals.
 func blockingOps(p *Package, stmt ast.Stmt, lockKey string, lockLine int) []Diagnostic {

@@ -5,14 +5,16 @@
 // PYTHIA's contract is reproducibility: Algorithm 1 must emit the same
 // (a-query, evidence, text) triples for the same table and seed, or every
 // downstream corpus silently drifts. The analyzers here machine-check the
-// invariants that protect that contract. The original five are syntactic,
-// per-file passes:
+// invariants that protect that contract. Three are syntactic, per-file
+// passes:
 //
 //	det-map-iter      map iteration feeding ordered output without a sort
 //	det-global-rand   package-global math/rand calls (unseeded randomness)
 //	err-ignored       discarded error returns (`_ =` or bare calls)
-//	conc-loop-capture goroutines capturing loop variables by reference
-//	conc-lock-copy    sync locks passed or returned by value
+//
+// Checks the toolchain already makes are left to it: `go vet` (copylocks)
+// reports sync locks passed by value, and under the module's go 1.22 every
+// loop iteration has its own variables, so goroutines cannot share one.
 //
 // On top of them sits a whole-program layer built on a module-wide call
 // graph over every loaded package (callgraph.go):
@@ -98,8 +100,6 @@ func Analyzers() []*Analyzer {
 		MapIterAnalyzer(),
 		GlobalRandAnalyzer(),
 		IgnoredErrorAnalyzer(),
-		LoopCaptureAnalyzer(),
-		LockCopyAnalyzer(),
 		DetFlowAnalyzer(),
 		MetricRegistryAnalyzer(),
 		LockAcrossCallAnalyzer(),

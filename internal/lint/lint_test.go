@@ -19,8 +19,6 @@ var fixtureDirs = []string{
 	"detmapiter",
 	"detglobalrand",
 	"errignored",
-	"concloopcapture",
-	"conclockcopy",
 	"suppressed",
 	"detflow",
 	"telregistry",
@@ -96,16 +94,14 @@ func TestFixtures(t *testing.T) {
 // package exercising it.
 func TestFixtureRuleCoverage(t *testing.T) {
 	byFixture := map[string]string{
-		"detmapiter":      "det-map-iter",
-		"detglobalrand":   "det-global-rand",
-		"errignored":      "err-ignored",
-		"concloopcapture": "conc-loop-capture",
-		"conclockcopy":    "conc-lock-copy",
-		"suppressed":      "det-global-rand",
-		"detflow":         "det-flow",
-		"telregistry":     "tel-metric-registry",
-		"conclockacross":  "conc-lock-across-call",
-		"errlimit":        "err-limit-propagate",
+		"detmapiter":     "det-map-iter",
+		"detglobalrand":  "det-global-rand",
+		"errignored":     "err-ignored",
+		"suppressed":     "det-global-rand",
+		"detflow":        "det-flow",
+		"telregistry":    "tel-metric-registry",
+		"conclockacross": "conc-lock-across-call",
+		"errlimit":       "err-limit-propagate",
 	}
 	for name, rule := range byFixture {
 		want := wantMarkers(t, filepath.Join("testdata", "src", name))

@@ -30,41 +30,91 @@ func seqRows(from, to int) []relation.Row {
 	return rows
 }
 
+// appendRows is the engine half of an append, as pythia-serve performs it:
+// extend the current registration copy-on-write, then publish the
+// extension with Swap.
+func appendRows(e *Engine, name string, rows []relation.Row) error {
+	cur, ok := e.Table(name)
+	if !ok {
+		return fmt.Errorf("append to unregistered table %q", name)
+	}
+	ext, err := cur.Extend(rows)
+	if err != nil {
+		return err
+	}
+	return e.Swap(cur, ext)
+}
+
+// TestEngineAppend covers an append through Extend and Swap: the old
+// registration is never mutated, the engine serves the extension, and
+// only the appended table's plans and per-table artifacts are invalidated
+// — every other registration keeps its warm caches.
 func TestEngineAppend(t *testing.T) {
 	e := NewEngine()
 	base := seqTable(t, "S", 3)
 	e.Register(base)
+	e.Register(seqTable(t, "U", 4))
 
-	if _, err := e.Append("nosuch", seqRows(0, 1)); err == nil {
-		t.Fatal("append to an unregistered table succeeded, want error")
+	const uJoin = "SELECT a.seq FROM U a, U b WHERE a.seq = b.seq"
+	for _, q := range []string{"SELECT seq FROM S", "SELECT seq FROM U", uJoin} {
+		if _, err := e.Query(q); err != nil {
+			t.Fatalf("warm %q: %v", q, err)
+		}
 	}
 
-	ext, err := e.Append("S", seqRows(3, 5))
+	ext, err := base.Extend(seqRows(3, 5))
 	if err != nil {
-		t.Fatalf("Append: %v", err)
+		t.Fatalf("Extend: %v", err)
+	}
+	if err := e.Swap(base, ext); err != nil {
+		t.Fatalf("Swap: %v", err)
 	}
 	if ext.NumRows() != 5 {
 		t.Fatalf("extended table has %d rows, want 5", ext.NumRows())
 	}
-	// Copy-on-write: the registered base table must be untouched.
+	// Copy-on-write: the previously registered table must be untouched.
 	if base.NumRows() != 3 {
-		t.Fatalf("Append mutated the old snapshot: base has %d rows, want 3", base.NumRows())
+		t.Fatalf("append mutated the old snapshot: base has %d rows, want 3", base.NumRows())
 	}
-	// The engine's current snapshot serves the extended table.
-	cur, ok := e.Table("S")
-	if !ok || cur.NumRows() != 5 {
-		t.Fatalf("engine snapshot has %d rows, want 5", cur.NumRows())
+	// The engine's current snapshot serves the extended table, and names
+	// resolve case-insensitively.
+	if cur, ok := e.Table("s"); !ok || cur != ext {
+		t.Fatal("engine snapshot does not serve the extended table")
 	}
-	res, err := e.Query("SELECT seq FROM S")
+
+	// Targeted invalidation: S's plan and artifacts are gone, U's survive.
+	if n := e.plans.size(); n != 2 {
+		t.Errorf("plan cache size after append = %d, want 2 (U's plans survive)", n)
+	}
+	e.caches.mu.Lock()
+	_, sCached := e.caches.byTable["s"]
+	_, uCached := e.caches.byTable["u"]
+	e.caches.mu.Unlock()
+	if sCached {
+		t.Error("S's per-table artifacts survived the append")
+	}
+	if !uCached {
+		t.Error("U's per-table artifacts were dropped by an append to S")
+	}
+	rebuilt := counterDelta("sqlengine.index_builds", func() {
+		if _, err := e.Query(uJoin); err != nil {
+			t.Fatalf("Query U: %v", err)
+		}
+	}) + counterDelta("sqlengine.vector_builds", func() {
+		if _, err := e.Query("SELECT seq FROM U"); err != nil {
+			t.Fatalf("Query U: %v", err)
+		}
+	})
+	if rebuilt != 0 {
+		t.Errorf("U rebuilt %d artifacts after an append to S, want 0", rebuilt)
+	}
+
+	res, err := e.Query("SELECT seq FROM s")
 	if err != nil {
 		t.Fatalf("query after append: %v", err)
 	}
 	if len(res.Rows) != 5 {
 		t.Fatalf("query returned %d rows, want 5", len(res.Rows))
-	}
-	// Table names resolve case-insensitively on the append path too.
-	if _, err := e.Append("s", seqRows(5, 6)); err != nil {
-		t.Fatalf("case-insensitive append: %v", err)
 	}
 }
 
@@ -116,8 +166,9 @@ func TestEngineSwap(t *testing.T) {
 }
 
 // TestStalePlanNeverServesPreAppendRows pins cache invalidation on the
-// append path: a plan raced back into the cache after an Append must be
-// rebuilt against the extended snapshot, not serve the shorter table.
+// append path: a plan raced back into the cache after an append (Extend
+// then Swap) must be rebuilt against the extended snapshot, not serve the
+// shorter table.
 func TestStalePlanNeverServesPreAppendRows(t *testing.T) {
 	e := NewEngine()
 	e.Register(seqTable(t, "S", 3))
@@ -130,8 +181,8 @@ func TestStalePlanNeverServesPreAppendRows(t *testing.T) {
 	if !ok {
 		t.Fatal("plan not cached after first query")
 	}
-	if _, err := e.Append("S", seqRows(3, 6)); err != nil {
-		t.Fatalf("Append: %v", err)
+	if err := appendRows(e, "S", seqRows(3, 6)); err != nil {
+		t.Fatalf("append: %v", err)
 	}
 	e.plans.put(q, stale)
 
@@ -145,8 +196,9 @@ func TestStalePlanNeverServesPreAppendRows(t *testing.T) {
 }
 
 // TestConcurrentAppendQueryRace hammers one engine with appends racing live
-// query traffic. Under -race it proves the append path is data-race free
-// with concurrent readers; on any build it asserts the snapshot contract:
+// query traffic on both executors. Under -race it proves the append path
+// (Extend then Swap) is data-race free with concurrent readers; on any
+// build it asserts the snapshot contract:
 // every query observes an exact prefix of the append sequence — never a
 // torn suffix, never rows out of order, never fewer rows than already
 // observed going in.
@@ -168,13 +220,14 @@ func TestConcurrentAppendQueryRace(t *testing.T) {
 	errs := make(chan error, readers+2)
 
 	// One writer per table (appends to a single table are serialized by the
-	// ingest path); each append publishes the next stamped rows.
+	// ingest path, so Swap never sees a changed registration); each append
+	// publishes the next stamped rows.
 	for _, name := range []string{"X", "Y"} {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
 			for n := initial; n < final; n += perStep {
-				if _, err := e.Append(name, seqRows(n, n+perStep)); err != nil {
+				if err := appendRows(e, name, seqRows(n, n+perStep)); err != nil {
 					errs <- fmt.Errorf("append %s: %w", name, err)
 					return
 				}
@@ -209,15 +262,15 @@ func TestConcurrentAppendQueryRace(t *testing.T) {
 						return
 					}
 				}
-				// Counting shares prepare/plan-cache and must agree with the
-				// same snapshot discipline.
-				n, err := e.QueryCount("SELECT seq FROM " + name + " WHERE seq >= 0")
+				// ORDER BY runs on the row path, which shares the plan cache
+				// and must follow the same snapshot discipline.
+				ordered, err := e.Query("SELECT seq FROM " + name + " WHERE seq >= 0 ORDER BY seq")
 				if err != nil {
 					errs <- err
 					return
 				}
-				if n < len(res.Rows) {
-					errs <- fmt.Errorf("count %d went backwards from the %d rows just scanned", n, len(res.Rows))
+				if n := ordered.NumRows(); n < len(res.Rows) {
+					errs <- fmt.Errorf("row path saw %d rows, fewer than the %d just scanned", n, len(res.Rows))
 					return
 				}
 				if r == 0 && name == "X" {

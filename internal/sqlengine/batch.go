@@ -250,7 +250,7 @@ type batchEmitter struct {
 	carver concatCarver
 }
 
-func newBatchEmitter(p *plan, ltv, rtv *tableVectors, lcs, rcs *relation.ColumnSet) *batchEmitter {
+func newBatchEmitter(p *plan, ltc, rtc *tableCache, lcs, rcs *relation.ColumnSet) *batchEmitter {
 	em := &batchEmitter{
 		projs: p.batch.projs,
 		width: len(p.batch.projs),
@@ -261,7 +261,7 @@ func newBatchEmitter(p *plan, ltv, rtv *tableVectors, lcs, rcs *relation.ColumnS
 		em.distinct = true
 		em.seen = map[string]struct{}{}
 	}
-	tvs := [2]*tableVectors{ltv, rtv}
+	tcs := [2]*tableCache{ltc, rtc}
 	for i := range em.projs {
 		pj := &em.projs[i]
 		if pj.mode != projConcat {
@@ -280,7 +280,7 @@ func newBatchEmitter(p *plan, ltv, rtv *tableVectors, lcs, rcs *relation.ColumnS
 				continue
 			}
 			bound[j] = boundPart{
-				fmt:  tvs[part.side].formatted(part.col, em.cols[part.side]),
+				fmt:  tcs[part.side].formatted(part.col, em.cols[part.side]),
 				side: part.side,
 			}
 		}
@@ -302,8 +302,9 @@ func (em *batchEmitter) newRow() relation.Row {
 }
 
 // reserve sizes the output slice and value arena for exactly n rows, known
-// from the counting pre-pass: one allocation each instead of doubling
-// growth, so no grow-copy traffic and no re-zeroing of abandoned arrays.
+// from the selection or the collected join pairs: one allocation each
+// instead of doubling growth, so no grow-copy traffic and no re-zeroing of
+// abandoned arrays.
 func (em *batchEmitter) reserve(n int) {
 	if n <= 0 || len(em.out) > 0 {
 		return
@@ -360,11 +361,7 @@ func (em *batchEmitter) emit(li, ri int32) {
 		}
 	}
 	if em.distinct {
-		em.keyBuf = em.keyBuf[:0]
-		for _, v := range pr {
-			em.keyBuf = v.AppendHashKey(em.keyBuf)
-			em.keyBuf = append(em.keyBuf, 0x1f)
-		}
+		em.keyBuf = appendRowKey(em.keyBuf[:0], pr)
 		if _, dup := em.seen[string(em.keyBuf)]; dup {
 			em.drops++
 			return
@@ -396,21 +393,21 @@ func (em *batchEmitter) finish() []relation.Row {
 // kind), in which case the caller falls back to the row path.
 func (e *Engine) runBatch(p *plan) (*relation.Table, bool) {
 	bp := p.batch
-	ltv := e.vectors.forTable(p.tableKeys[0], p.sources[0])
-	lcs := ltv.columns()
+	ltc := e.caches.forTable(p.tableKeys[0], p.sources[0])
+	lcs := ltc.columns()
 	if lcs == nil {
 		return nil, false
 	}
-	var rtv *tableVectors
+	var rtc *tableCache
 	var rcs *relation.ColumnSet
 	if bp.join {
-		rtv = e.vectors.forTable(p.tableKeys[1], p.sources[1])
-		if rcs = rtv.columns(); rcs == nil {
+		rtc = e.caches.forTable(p.tableKeys[1], p.sources[1])
+		if rcs = rtc.columns(); rcs == nil {
 			return nil, false
 		}
 	}
 	met.batchScans.Inc()
-	em := newBatchEmitter(p, ltv, rtv, lcs, rcs)
+	em := newBatchEmitter(p, ltc, rtc, lcs, rcs)
 
 	if !bp.join {
 		met.rowsScanned.Add(int64(lcs.Len))
@@ -468,9 +465,9 @@ func (e *Engine) runBatch(p *plan) (*relation.Table, bool) {
 		var intIdx map[int64][]int32
 		var strIdx map[string][]int32
 		if bp.keyKind == relation.KindString {
-			strIdx = rtv.strIndex(bp.keyR, rcs)
+			strIdx = rtc.strIndex(bp.keyR, rcs)
 		} else {
-			intIdx = rtv.intIndex(bp.keyR, rcs)
+			intIdx = rtc.intIndex(bp.keyR, rcs)
 		}
 		// One probe pass collects the matching pairs, so the emitter
 		// allocates its output exactly without probing twice. The pair

@@ -68,6 +68,14 @@ func runBothPaths(t *testing.T, sql string, tables ...*relation.Table) *relation
 		eb.Register(tb)
 		ef.Register(tb)
 	}
+	return requireSamePaths(t, eb, ef, sql)
+}
+
+// requireSamePaths runs sql on a batch engine eb and a fallback engine ef
+// holding the same registrations: both must fail with the same error, or
+// both must return byte-identical tables. It returns the batch result.
+func requireSamePaths(t *testing.T, eb, ef *Engine, sql string) *relation.Table {
+	t.Helper()
 	got, gotErr := eb.Query(sql)
 	want, wantErr := ef.Query(sql)
 	if (gotErr == nil) != (wantErr == nil) {
@@ -102,71 +110,80 @@ func requireBatchPlan(t *testing.T, sql string, want bool, tables ...*relation.T
 	}
 }
 
+// batchScanShapes are single-table statements the batch compiler admits.
+var batchScanShapes = []string{
+	`SELECT * FROM t`,
+	`SELECT k, s FROM t WHERE n > 3`,
+	`SELECT n FROM t WHERE n >= 2 AND n <= 5 AND k <> 1`,
+	`SELECT s FROM t WHERE s = 'cat'`,
+	`SELECT s FROM t WHERE s < 'cat'`,
+	`SELECT f FROM t WHERE f > 1.4`,
+	`SELECT k FROM t WHERE n > f`, // mixed numeric column pair
+	`SELECT k FROM t WHERE k = n`, // int column pair
+	`SELECT k FROM t WHERE s IS NULL`,
+	`SELECT k FROM t WHERE d IS NOT NULL`,
+	`SELECT k FROM t WHERE n = NULL`, // NULL literal: always false
+	`SELECT k FROM t WHERE s = 3`,    // incomparable kinds, = : never
+	`SELECT k FROM t WHERE s <> 3`,   // incomparable kinds, <> : non-NULL pairs
+	`SELECT 42, 'lit', k FROM t WHERE b = b`,
+	`SELECT CONCAT(k, ' says ', s, '!') AS msg FROM t`,
+	`SELECT CONCAT(d, '/', f, '/', b) AS msg FROM t WHERE n < 6`,
+	`SELECT DISTINCT k FROM t`,
+	`SELECT DISTINCT CONCAT(k, '-', b) AS tag FROM t`,
+	`SELECT k FROM t WHERE n > 1 LIMIT 7`,
+	`SELECT k FROM t LIMIT 0`,
+	`SELECT DISTINCT k FROM t LIMIT 3`,
+}
+
 func TestBatchScanShapesMatchRowPath(t *testing.T) {
 	tb := batchTestTable("t")
-	for _, sql := range []string{
-		`SELECT * FROM t`,
-		`SELECT k, s FROM t WHERE n > 3`,
-		`SELECT n FROM t WHERE n >= 2 AND n <= 5 AND k <> 1`,
-		`SELECT s FROM t WHERE s = 'cat'`,
-		`SELECT s FROM t WHERE s < 'cat'`,
-		`SELECT f FROM t WHERE f > 1.4`,
-		`SELECT k FROM t WHERE n > f`, // mixed numeric column pair
-		`SELECT k FROM t WHERE k = n`, // int column pair
-		`SELECT k FROM t WHERE s IS NULL`,
-		`SELECT k FROM t WHERE d IS NOT NULL`,
-		`SELECT k FROM t WHERE n = NULL`, // NULL literal: always false
-		`SELECT k FROM t WHERE s = 3`,    // incomparable kinds, = : never
-		`SELECT k FROM t WHERE s <> 3`,   // incomparable kinds, <> : non-NULL pairs
-		`SELECT 42, 'lit', k FROM t WHERE b = b`,
-		`SELECT CONCAT(k, ' says ', s, '!') AS msg FROM t`,
-		`SELECT CONCAT(d, '/', f, '/', b) AS msg FROM t WHERE n < 6`,
-		`SELECT DISTINCT k FROM t`,
-		`SELECT DISTINCT CONCAT(k, '-', b) AS tag FROM t`,
-		`SELECT k FROM t WHERE n > 1 LIMIT 7`,
-		`SELECT k FROM t LIMIT 0`,
-		`SELECT DISTINCT k FROM t LIMIT 3`,
-	} {
+	for _, sql := range batchScanShapes {
 		requireBatchPlan(t, sql, true, batchTestTable("t"))
 		runBothPaths(t, sql, tb)
 	}
+}
+
+// batchJoinShapes are self-join statements the batch compiler admits.
+var batchJoinShapes = []string{
+	`SELECT b1.k, b2.n FROM t b1, t b2 WHERE b1.k = b2.k`,
+	`SELECT b1.n, b2.n FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n <> b2.n`,
+	`SELECT b1.n FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n > b2.n AND b1.f <= b2.f`,
+	`SELECT b1.s, b2.s FROM t b1, t b2 WHERE b1.s = b2.s AND b1.n < b2.n`,   // string key
+	`SELECT b1.k FROM t b1, t b2 WHERE b1.b = b2.b AND b1.n > b2.n LIMIT 9`, // bool key
+	`SELECT b1.k FROM t b1, t b2 WHERE b1.d = b2.d AND b1.n <> b2.n`,        // date key
+	`SELECT b1.k FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n > 2 AND b2.n < 5`,
+	`SELECT b1.k FROM t b1, t b2 WHERE b1.k = b2.k AND b1.s IS NOT NULL AND b2.f > 1`,
+	`SELECT CONCAT(b1.k, ' beats ', b2.s) AS txt FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n > b2.n`,
+	`SELECT DISTINCT CONCAT(b1.k, ':', b2.b) AS txt FROM t b1, t b2 WHERE b1.k = b2.k`,
+	`SELECT DISTINCT b1.k FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n <> b2.n LIMIT 4`,
+	`SELECT b1.f, b2.d FROM t b1, t b2 WHERE b1.k = b2.k AND b1.f < b2.n`, // mixed numeric cmp
 }
 
 func TestBatchJoinShapesMatchRowPath(t *testing.T) {
 	tb := batchTestTable("t")
-	for _, sql := range []string{
-		`SELECT b1.k, b2.n FROM t b1, t b2 WHERE b1.k = b2.k`,
-		`SELECT b1.n, b2.n FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n <> b2.n`,
-		`SELECT b1.n FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n > b2.n AND b1.f <= b2.f`,
-		`SELECT b1.s, b2.s FROM t b1, t b2 WHERE b1.s = b2.s AND b1.n < b2.n`,   // string key
-		`SELECT b1.k FROM t b1, t b2 WHERE b1.b = b2.b AND b1.n > b2.n LIMIT 9`, // bool key
-		`SELECT b1.k FROM t b1, t b2 WHERE b1.d = b2.d AND b1.n <> b2.n`,        // date key
-		`SELECT b1.k FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n > 2 AND b2.n < 5`,
-		`SELECT b1.k FROM t b1, t b2 WHERE b1.k = b2.k AND b1.s IS NOT NULL AND b2.f > 1`,
-		`SELECT CONCAT(b1.k, ' beats ', b2.s) AS txt FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n > b2.n`,
-		`SELECT DISTINCT CONCAT(b1.k, ':', b2.b) AS txt FROM t b1, t b2 WHERE b1.k = b2.k`,
-		`SELECT DISTINCT b1.k FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n <> b2.n LIMIT 4`,
-		`SELECT b1.f, b2.d FROM t b1, t b2 WHERE b1.k = b2.k AND b1.f < b2.n`, // mixed numeric cmp
-	} {
+	for _, sql := range batchJoinShapes {
 		requireBatchPlan(t, sql, true, batchTestTable("t"))
 		runBothPaths(t, sql, tb)
 	}
 }
 
+// batchFallbackShapes are statements the batch compiler must decline.
+var batchFallbackShapes = []string{
+	`SELECT k FROM t ORDER BY k`,                                                 // ORDER BY
+	`SELECT COUNT(*) FROM t`,                                                     // aggregate
+	`SELECT k + 1 FROM t`,                                                        // arithmetic projection
+	`SELECT k FROM t WHERE n + 1 > 2`,                                            // arithmetic predicate
+	`SELECT k FROM t WHERE s > 3`,                                                // order across incomparable kinds errors on the row path
+	`SELECT k FROM t WHERE n > 1 OR n < 4`,                                       // disjunction
+	`SELECT b1.k FROM t b1, t b2 WHERE b1.f = b2.f`,                              // float join key
+	`SELECT b1.k FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n = b2.n`,              // multi-column key
+	`SELECT b1.k FROM t b1, t b2 WHERE b1.n > b2.n`,                              // no equi key
+	`SELECT b1.k FROM t b1, t b2 WHERE b1.k = b2.k AND CONCAT(b1.s, b2.s) = 'x'`, // residual
+}
+
 func TestBatchCompilerFallsBackOutsideProvenSubset(t *testing.T) {
 	tb := batchTestTable("t")
-	for _, sql := range []string{
-		`SELECT k FROM t ORDER BY k`,                                                 // ORDER BY
-		`SELECT COUNT(*) FROM t`,                                                     // aggregate
-		`SELECT k + 1 FROM t`,                                                        // arithmetic projection
-		`SELECT k FROM t WHERE n + 1 > 2`,                                            // arithmetic predicate
-		`SELECT k FROM t WHERE s > 3`,                                                // order across incomparable kinds errors on the row path
-		`SELECT k FROM t WHERE n > 1 OR n < 4`,                                       // disjunction
-		`SELECT b1.k FROM t b1, t b2 WHERE b1.f = b2.f`,                              // float join key
-		`SELECT b1.k FROM t b1, t b2 WHERE b1.k = b2.k AND b1.n = b2.n`,              // multi-column key
-		`SELECT b1.k FROM t b1, t b2 WHERE b1.n > b2.n`,                              // no equi key
-		`SELECT b1.k FROM t b1, t b2 WHERE b1.k = b2.k AND CONCAT(b1.s, b2.s) = 'x'`, // residual
-	} {
+	for _, sql := range batchFallbackShapes {
 		requireBatchPlan(t, sql, false, batchTestTable("t"))
 		// The fallback still answers; diff it for good measure.
 		runBothPaths(t, sql, tb)
@@ -231,11 +248,11 @@ func TestRegisterEvictsVectors(t *testing.T) {
 
 	// Same-name re-registration through a fresh table pointer must also
 	// self-heal when the cache entry is reached without an invalidate.
-	e.vectors.byTable["t"] = &tableVectors{table: mk(9)} // simulate a stale entry
+	e.caches.byTable["t"] = &tableCache{table: mk(9)} // simulate a stale entry
 	tNew, _ := e.Table("t")
-	tv := e.vectors.forTable("t", tNew)
-	if tv.table != tNew {
-		t.Fatal("forTable returned a vector set for a different table identity")
+	tc := e.caches.forTable("t", tNew)
+	if tc.table != tNew {
+		t.Fatal("forTable returned an artifact set for a different table identity")
 	}
 }
 
@@ -267,13 +284,13 @@ func TestBatchFormattedCacheMatchesFormat(t *testing.T) {
 	tb := batchTestTable("t")
 	e := NewEngine()
 	e.Register(tb)
-	tv := e.vectors.forTable("t", tb)
-	cs := tv.columns()
+	tc := e.caches.forTable("t", tb)
+	cs := tc.columns()
 	if cs == nil {
 		t.Fatal("table not vectorizable")
 	}
 	for col := range tb.Schema {
-		fe := tv.formatted(col, cs)
+		fe := tc.formatted(col, cs)
 		for i, row := range tb.Rows {
 			if got, want := string(fe.slice(int32(i))), row[col].Format(); got != want {
 				t.Fatalf("col %d row %d: cached %q != Format %q", col, i, got, want)

@@ -157,67 +157,72 @@ func randomProjList(rng *rand.Rand, schema relation.Schema, alias string) string
 	return strings.Join(items, ", ")
 }
 
+// randomDiffQueries derives a query set over tb covering every shape the
+// batch compiler admits — scans and equi self-joins with random
+// predicates, projections, DISTINCT and LIMIT — plus one fallback shape
+// that proves the harness diffs the row path too.
+func randomDiffQueries(rng *rand.Rand, tb *relation.Table) []string {
+	schema := tb.Schema
+	var queries []string
+	// Scan shapes.
+	queries = append(queries, fmt.Sprintf(`SELECT * FROM %s`, tb.Name))
+	for i := 0; i < 6; i++ {
+		var sb strings.Builder
+		if rng.Intn(4) == 0 {
+			sb.WriteString("SELECT DISTINCT ")
+		} else {
+			sb.WriteString("SELECT ")
+		}
+		sb.WriteString(randomProjList(rng, schema, ""))
+		sb.WriteString(" FROM " + tb.Name)
+		if nPreds := rng.Intn(3); nPreds > 0 {
+			var preds []string
+			for p := 0; p < nPreds; p++ {
+				preds = append(preds, randomPred(rng, schema, ""))
+			}
+			sb.WriteString(" WHERE " + strings.Join(preds, " AND "))
+		}
+		if rng.Intn(4) == 0 {
+			fmt.Fprintf(&sb, " LIMIT %d", rng.Intn(12))
+		}
+		queries = append(queries, sb.String())
+	}
+	// Join shapes: equi key on k (int), side preds, cross comparisons.
+	for i := 0; i < 5; i++ {
+		var sb strings.Builder
+		sb.WriteString("SELECT ")
+		if rng.Intn(4) == 0 {
+			sb.WriteString("DISTINCT ")
+		}
+		sb.WriteString(randomProjList(rng, schema, "b1"))
+		fmt.Fprintf(&sb, " FROM %s b1, %s b2 WHERE b1.k = b2.k", tb.Name, tb.Name)
+		for p := rng.Intn(2); p > 0; p-- {
+			sb.WriteString(" AND " + randomPred(rng, schema, []string{"b1", "b2"}[rng.Intn(2)]))
+		}
+		// Cross-side comparison with vectorizable typing.
+		ci, cj := rng.Intn(len(schema)), rng.Intn(len(schema))
+		op := diffOps[rng.Intn(len(diffOps))]
+		if !orderComparable(schema[ci].Kind, schema[cj].Kind) {
+			op = []string{"=", "<>"}[rng.Intn(2)]
+		}
+		fmt.Fprintf(&sb, " AND b1.%s %s b2.%s", schema[ci].Name, op, schema[cj].Name)
+		if rng.Intn(4) == 0 {
+			fmt.Fprintf(&sb, " LIMIT %d", rng.Intn(20))
+		}
+		queries = append(queries, sb.String())
+	}
+	// A fallback shape rides along to prove the harness diffs it too.
+	return append(queries, fmt.Sprintf(`SELECT k FROM %s ORDER BY k LIMIT 5`, tb.Name))
+}
+
 func TestBatchDifferentialRandomized(t *testing.T) {
 	rng := detrand.New(8) // PR seed; the whole suite is reproducible
 	batchPlans := 0
 	for round := 0; round < 10; round++ {
 		tb := randomDiffTable(rng, fmt.Sprintf("t%d", round), 2+rng.Intn(3), 30+rng.Intn(40))
-		schema := tb.Schema
-
-		var queries []string
-		// Scan shapes.
-		queries = append(queries, fmt.Sprintf(`SELECT * FROM %s`, tb.Name))
-		for i := 0; i < 6; i++ {
-			var sb strings.Builder
-			if rng.Intn(4) == 0 {
-				sb.WriteString("SELECT DISTINCT ")
-			} else {
-				sb.WriteString("SELECT ")
-			}
-			sb.WriteString(randomProjList(rng, schema, ""))
-			sb.WriteString(" FROM " + tb.Name)
-			if nPreds := rng.Intn(3); nPreds > 0 {
-				var preds []string
-				for p := 0; p < nPreds; p++ {
-					preds = append(preds, randomPred(rng, schema, ""))
-				}
-				sb.WriteString(" WHERE " + strings.Join(preds, " AND "))
-			}
-			if rng.Intn(4) == 0 {
-				fmt.Fprintf(&sb, " LIMIT %d", rng.Intn(12))
-			}
-			queries = append(queries, sb.String())
-		}
-		// Join shapes: equi key on k (int), side preds, cross comparisons.
-		for i := 0; i < 5; i++ {
-			var sb strings.Builder
-			sb.WriteString("SELECT ")
-			if rng.Intn(4) == 0 {
-				sb.WriteString("DISTINCT ")
-			}
-			sb.WriteString(randomProjList(rng, schema, "b1"))
-			fmt.Fprintf(&sb, " FROM %s b1, %s b2 WHERE b1.k = b2.k", tb.Name, tb.Name)
-			for p := rng.Intn(2); p > 0; p-- {
-				sb.WriteString(" AND " + randomPred(rng, schema, []string{"b1", "b2"}[rng.Intn(2)]))
-			}
-			// Cross-side comparison with vectorizable typing.
-			ci, cj := rng.Intn(len(schema)), rng.Intn(len(schema))
-			op := diffOps[rng.Intn(len(diffOps))]
-			if !orderComparable(schema[ci].Kind, schema[cj].Kind) {
-				op = []string{"=", "<>"}[rng.Intn(2)]
-			}
-			fmt.Fprintf(&sb, " AND b1.%s %s b2.%s", schema[ci].Name, op, schema[cj].Name)
-			if rng.Intn(4) == 0 {
-				fmt.Fprintf(&sb, " LIMIT %d", rng.Intn(20))
-			}
-			queries = append(queries, sb.String())
-		}
-		// A fallback shape rides along to prove the harness diffs it too.
-		queries = append(queries, fmt.Sprintf(`SELECT k FROM %s ORDER BY k LIMIT 5`, tb.Name))
-
 		probe := NewEngine()
 		probe.Register(tb)
-		for _, sql := range queries {
+		for _, sql := range randomDiffQueries(rng, tb) {
 			runBothPaths(t, sql, tb)
 			if p, err := probe.prepare(sql); err == nil && p.batch != nil {
 				batchPlans++
@@ -229,6 +234,32 @@ func TestBatchDifferentialRandomized(t *testing.T) {
 	if batchPlans < 80 {
 		t.Fatalf("only %d generated queries compiled to batch plans; generator drifted", batchPlans)
 	}
+}
+
+// FuzzBatchDifferential feeds arbitrary SQL to a batch engine and a
+// batch-off engine holding the same two tables — batchTestTable (every
+// vectorizable kind) and a seeded randomDiffTable — and requires error
+// parity and byte-identical results. Both engines live for the whole run,
+// so the plan cache and the per-table cache are exercised warm as well as
+// cold. The corpus is seeded with every hand-written batch shape and a
+// randomized differential query set over the second table.
+func FuzzBatchDifferential(f *testing.F) {
+	rng := detrand.New(1)
+	tables := []*relation.Table{batchTestTable("t"), randomDiffTable(rng, "r", 4, 50)}
+	for _, shapes := range [][]string{batchScanShapes, batchJoinShapes, batchFallbackShapes, randomDiffQueries(rng, tables[1])} {
+		for _, sql := range shapes {
+			f.Add(sql)
+		}
+	}
+	eb, ef := NewEngine(), NewEngine()
+	ef.batchOff = true
+	for _, tb := range tables {
+		eb.Register(tb)
+		ef.Register(tb)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		requireSamePaths(t, eb, ef, sql)
+	})
 }
 
 // TestConcurrentBatchVectorBuilds hammers one engine's lazy artifacts —

@@ -128,23 +128,3 @@ func BenchmarkAQueryRowAmbiguityFallback(b *testing.B) {
 func BenchmarkAQueryTemplateConcatFallback(b *testing.B) {
 	benchQueryFallback(b, 5000, templateSQL("T"), true)
 }
-
-// BenchmarkAQueryRepeatedCount replays one counting a-query over and over
-// on a shared engine — the repeated-unit pattern corpus generation hits,
-// where parse and plan compilation are pure overhead.
-func BenchmarkAQueryRepeatedCount(b *testing.B) {
-	e := NewEngine()
-	e.Register(aqueryTable("T", 2000))
-	sql := rowAmbSQL("T")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n, err := e.QueryCount(sql)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}

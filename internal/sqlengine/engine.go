@@ -17,7 +17,6 @@ import (
 var met = struct {
 	queriesParsed      *telemetry.Counter
 	queriesExecuted    *telemetry.Counter
-	countQueries       *telemetry.Counter
 	rowsScanned        *telemetry.Counter
 	rowsEmitted        *telemetry.Counter
 	distinctDrops      *telemetry.Counter
@@ -30,7 +29,6 @@ var met = struct {
 	batchScans         *telemetry.Counter
 	batchRows          *telemetry.Counter
 	vectorBuilds       *telemetry.Counter
-	tableAppends       *telemetry.Counter
 	tableSwaps         *telemetry.Counter
 	parseNS            *telemetry.Histogram
 	execNS             *telemetry.Histogram
@@ -38,7 +36,6 @@ var met = struct {
 }{
 	queriesParsed:      telemetry.Default().Counter("sqlengine.queries_parsed"),
 	queriesExecuted:    telemetry.Default().Counter("sqlengine.queries_executed"),
-	countQueries:       telemetry.Default().Counter("sqlengine.count_queries"),
 	rowsScanned:        telemetry.Default().Counter("sqlengine.rows_scanned"),
 	rowsEmitted:        telemetry.Default().Counter("sqlengine.rows_emitted"),
 	distinctDrops:      telemetry.Default().Counter("sqlengine.distinct_drops"),
@@ -51,7 +48,6 @@ var met = struct {
 	batchScans:         telemetry.Default().Counter("sqlengine.batch_scans"),
 	batchRows:          telemetry.Default().Counter("sqlengine.batch_rows"),
 	vectorBuilds:       telemetry.Default().Counter("sqlengine.vector_builds"),
-	tableAppends:       telemetry.Default().Counter("sqlengine.table_appends"),
 	tableSwaps:         telemetry.Default().Counter("sqlengine.table_swaps"),
 	parseNS:            telemetry.Default().LatencyHistogram("sqlengine.parse_ns"),
 	execNS:             telemetry.Default().LatencyHistogram("sqlengine.exec_ns"),
@@ -85,14 +81,13 @@ func (r *registry) lookup(name string) (*relation.Table, bool) {
 // against the view they started with while new queries see the new rows.
 // Cached artifacts can never serve a half-replaced registration — a plan
 // cache hit is revalidated against the query's snapshot (table pointers
-// must match exactly) and the shared join-index and column-vector caches
-// key their entries to the table pointer pinned in the plan.
+// must match exactly) and the per-table cache keys its entries to the
+// table pointer pinned in the plan.
 type Engine struct {
-	reg     atomic.Pointer[registry]
-	regMu   sync.Mutex // serializes writers (Register); readers never take it
-	plans   *planCache
-	indexes *indexCache
-	vectors *vecCache
+	reg    atomic.Pointer[registry]
+	regMu  sync.Mutex // serializes writers (Register, Swap); readers never take it
+	plans  *planCache
+	caches *tableCaches
 
 	// batchOff forces every query onto the row-at-a-time path. It exists
 	// for the batch-vs-fallback differential suite and benchmarks; the
@@ -103,9 +98,8 @@ type Engine struct {
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	e := &Engine{
-		plans:   newPlanCache(defaultPlanCacheCap),
-		indexes: newIndexCache(),
-		vectors: newVecCache(),
+		plans:  newPlanCache(defaultPlanCacheCap),
+		caches: newTableCaches(),
 	}
 	e.reg.Store(&registry{tables: map[string]*relation.Table{}})
 	return e
@@ -124,9 +118,9 @@ func (e *Engine) snapshot() *registry {
 // starts afterwards sees only the new ones. The eager cache eviction below
 // reclaims memory held by the replaced registration; correctness does not
 // depend on it — every cache read revalidates against the reader's
-// snapshot (plan cache) or the plan's pinned table pointer (index and
-// vector caches), so a stale entry raced back in after eviction is
-// detected and rebuilt rather than served.
+// snapshot (plan cache) or the plan's pinned table pointer (per-table
+// cache), so a stale entry raced back in after eviction is detected and
+// rebuilt rather than served.
 func (e *Engine) Register(t *relation.Table) {
 	name := strings.ToLower(t.Name)
 	e.regMu.Lock()
@@ -135,7 +129,7 @@ func (e *Engine) Register(t *relation.Table) {
 }
 
 // publishLocked installs next under key as a fresh immutable registry
-// snapshot and drops the key's cached plans, indexes and vectors. regMu
+// snapshot and drops the key's cached plans and per-table artifacts. regMu
 // must be held.
 func (e *Engine) publishLocked(key string, next *relation.Table) {
 	old := e.reg.Load()
@@ -146,45 +140,19 @@ func (e *Engine) publishLocked(key string, next *relation.Table) {
 	m[key] = next
 	e.reg.Store(&registry{tables: m})
 	e.plans.invalidate(key)
-	e.indexes.invalidate(key)
-	e.vectors.invalidate(key)
-}
-
-// Append extends the registered table with new rows and publishes the
-// extension as a fresh snapshot, returning the extended table. The
-// registered table itself is never mutated (relation.Table.Extend is
-// copy-on-write), so queries pinned to the previous snapshot keep reading
-// exactly the rows they started with. Only the touched table's plans,
-// indexes and column vectors are invalidated — every other registration
-// keeps its warm caches, which is what makes append ingest cheap next to
-// a full re-register-everything eviction.
-func (e *Engine) Append(name string, rows []relation.Row) (*relation.Table, error) {
-	key := strings.ToLower(name)
-	e.regMu.Lock()
-	defer e.regMu.Unlock()
-	old := e.reg.Load()
-	t, ok := old.tables[key]
-	if !ok {
-		return nil, fmt.Errorf("sqlengine: append to unregistered table %q", name)
-	}
-	ext, err := t.Extend(rows)
-	if err != nil {
-		return nil, err
-	}
-	e.publishLocked(key, ext)
-	met.tableAppends.Inc()
-	return ext, nil
+	e.caches.invalidate(key)
 }
 
 // Swap publishes next in place of prev, failing unless prev is exactly the
 // table currently registered under next's name. It is the publish half of a
-// compute-then-publish append: the caller extends the table and derives its
-// artifacts (profile, metadata) off the engine first, then swaps the
-// registration in atomically — a failure while deriving leaves the engine
-// untouched, so engine state and caller state never diverge. Like Append it
-// invalidates only the swapped table's plans, indexes and vectors, and the
-// snapshot semantics are those of Register: readers pinned to the previous
-// view keep it.
+// compute-then-publish append: the caller extends the table
+// (relation.Table.Extend is copy-on-write) and derives its artifacts
+// (profile, metadata) off the engine first, then swaps the registration in
+// atomically — a failure while deriving leaves the engine untouched, so
+// engine state and caller state never diverge. Only the swapped table's
+// plans and per-table artifacts are invalidated; every other registration
+// keeps its warm caches. The snapshot semantics are those of Register:
+// readers pinned to the previous view keep it.
 func (e *Engine) Swap(prev, next *relation.Table) error {
 	key := strings.ToLower(next.Name)
 	e.regMu.Lock()
@@ -204,18 +172,6 @@ func (e *Engine) Swap(prev, next *relation.Table) error {
 // Table returns a registered table by name, from the current snapshot.
 func (e *Engine) Table(name string) (*relation.Table, bool) {
 	return e.snapshot().lookup(name)
-}
-
-// Tables returns the registered table names of the current snapshot in
-// sorted order.
-func (e *Engine) Tables() []string {
-	snap := e.snapshot()
-	names := make([]string, 0, len(snap.tables))
-	for n := range snap.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // timedParse parses a SELECT statement under the parse metrics.
@@ -238,44 +194,8 @@ func (e *Engine) Query(sql string) (*relation.Table, error) {
 	return e.run(p)
 }
 
-// QueryCount executes the statement through the counting path: only the
-// result cardinality is computed, no projection rows are materialized.
-// Like Query it consults the plan cache first. See ExecuteCount for the
-// exact counting semantics.
-func (e *Engine) QueryCount(sql string) (int, error) {
-	p, err := e.prepare(sql)
-	if err != nil {
-		return 0, err
-	}
-	return e.runCount(p)
-}
-
-// Execute runs an already-parsed statement. The plan is compiled fresh —
-// callers holding SQL text should prefer Query, which caches plans.
-func (e *Engine) Execute(stmt *SelectStmt) (*relation.Table, error) {
-	p, err := e.buildPlan(e.snapshot(), stmt)
-	if err != nil {
-		return nil, err
-	}
-	return e.run(p)
-}
-
-// ExecuteCount returns the number of rows Execute would produce, without
-// building them: WHERE, DISTINCT and LIMIT are honored through a counting
-// row sink, aggregates count their (small) group output, and ORDER BY is
-// compiled for error parity but never evaluated — ordering cannot change
-// a cardinality. LIMIT short-circuits the scan through errLimitReached,
-// so counting a `LIMIT k` query stops after k qualifying rows.
-func (e *Engine) ExecuteCount(stmt *SelectStmt) (int, error) {
-	p, err := e.buildPlan(e.snapshot(), stmt)
-	if err != nil {
-		return 0, err
-	}
-	return e.runCount(p)
-}
-
 // bind resolves the FROM tables against one registry snapshot into the
-// expression binding shared by the materializing, counting and aggregate
+// expression binding shared by the row, batch and aggregate
 // paths. Taking the snapshot as a parameter (instead of reading the live
 // pointer per table) is what makes a multi-table bind atomic with respect
 // to concurrent Register calls.
@@ -300,72 +220,7 @@ func bind(snap *registry, stmt *SelectStmt) (*binding, []*relation.Table, error)
 	return b, sources, nil
 }
 
-// runCount executes a prepared plan through the counting path.
-//
-// The counting sink evaluates projections only when DISTINCT needs dedup
-// keys; either way no projection row is allocated or retained.
-func (e *Engine) runCount(p *plan) (int, error) {
-	met.countQueries.Inc()
-	tm := met.execNS.Time()
-	defer tm.Stop()
-
-	stmt := p.stmt
-	if p.agg {
-		res, err := e.executeAggregate(p)
-		if err != nil {
-			return 0, err
-		}
-		return res.NumRows(), nil
-	}
-
-	count, drops := 0, 0
-	var sink rowSink
-	if stmt.Distinct {
-		seen := map[string]struct{}{}
-		var keyBuf []byte
-		sink = func(combined []relation.Value) error {
-			keyBuf = keyBuf[:0]
-			for _, ev := range p.projs {
-				v, err := ev.eval(combined)
-				if err != nil {
-					return err
-				}
-				keyBuf = v.AppendHashKey(keyBuf)
-				keyBuf = append(keyBuf, 0x1f)
-			}
-			if _, dup := seen[string(keyBuf)]; dup {
-				drops++
-				return nil
-			}
-			seen[string(keyBuf)] = struct{}{}
-			count++
-			if stmt.Limit >= 0 && count >= stmt.Limit {
-				return errLimitReached
-			}
-			return nil
-		}
-	} else {
-		sink = func([]relation.Value) error {
-			count++
-			if stmt.Limit >= 0 && count >= stmt.Limit {
-				return errLimitReached
-			}
-			return nil
-		}
-	}
-	if err := e.planRows(p, sink); err != nil {
-		return 0, err
-	}
-	met.distinctDrops.Add(int64(drops))
-	// LIMIT 0: the sink admits the row that trips the limit, exactly like
-	// the materializing path, so clamp the same way it truncates.
-	if stmt.Limit >= 0 && count > stmt.Limit {
-		count = stmt.Limit
-	}
-	return count, nil
-}
-
-// run executes a prepared plan through the materializing path.
+// run executes a prepared plan.
 func (e *Engine) run(p *plan) (*relation.Table, error) {
 	met.queriesExecuted.Inc()
 	tm := met.execNS.Time()
@@ -569,9 +424,9 @@ func finishResult(p *plan, out []relation.Row) *relation.Table {
 }
 
 // appendRowKey appends the DISTINCT dedup key of a projected row: each
-// value's hash key terminated by a 0x1f separator. Every dedup site (row
-// path, counting path, batch path) builds keys through this helper in a
-// reused scratch buffer, so the sets they build are interchangeable.
+// value's hash key terminated by a 0x1f separator. Every dedup site (both
+// row-path sinks and the batch emitter) builds keys through this helper in
+// a reused scratch buffer, so the sets they build are interchangeable.
 func appendRowKey(buf []byte, row []relation.Value) []byte {
 	for _, v := range row {
 		buf = v.AppendHashKey(buf)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/relation"
+	"repro/internal/telemetry"
 )
 
 const basketCSV = `Player,Team,FG%,3FG%,fouls,apps
@@ -248,6 +249,23 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestQueryUnknownNameErrors: an unknown table, or an unknown column in any
+// clause that names one (SELECT, WHERE, ORDER BY), is rejected.
+func TestQueryUnknownNameErrors(t *testing.T) {
+	e := NewEngine()
+	e.Register(wideTable("W", 10, 3))
+	for _, q := range []string{
+		`SELECT nope FROM W`,
+		`SELECT c0 FROM Missing`,
+		`SELECT c0 FROM W ORDER BY nope`,
+		`SELECT c0 FROM W WHERE nope = 1`,
+	} {
+		if _, err := e.Query(q); err == nil {
+			t.Errorf("Query(%s) succeeded, want error", q)
+		}
+	}
+}
+
 func TestUnqualifiedColumnSingleTable(t *testing.T) {
 	e := testEngine(t)
 	res, err := e.Query(`SELECT Player FROM D b1, D b2 WHERE b1.Team = b2.Team AND b1.fouls <> b2.fouls`)
@@ -304,17 +322,6 @@ func TestNullNeverEquiJoins(t *testing.T) {
 	// Only the x row joins with itself.
 	if res.NumRows() != 1 {
 		t.Errorf("rows = %d, want 1 (NULL keys must not join)", res.NumRows())
-	}
-}
-
-func TestQueryCount(t *testing.T) {
-	e := testEngine(t)
-	n, err := e.QueryCount(`SELECT Player FROM D WHERE fouls = 4`)
-	if err != nil {
-		t.Fatalf("QueryCount: %v", err)
-	}
-	if n != 2 {
-		t.Errorf("count = %d, want 2", n)
 	}
 }
 
@@ -482,5 +489,85 @@ func TestLimitPushdownStopsJoinEarly(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Errorf("LIMIT pushdown ineffective: took %s", time.Since(start))
+	}
+}
+
+// wideTable builds a rows×cols table whose values repeat with small
+// periods, so DISTINCT and WHERE both have real work to do.
+func wideTable(name string, rows, cols int) *relation.Table {
+	schema := make(relation.Schema, cols)
+	for c := 0; c < cols; c++ {
+		schema[c] = relation.Column{Name: fmt.Sprintf("c%d", c), Kind: relation.KindInt}
+	}
+	t := relation.NewTable(name, schema)
+	for r := 0; r < rows; r++ {
+		row := make(relation.Row, cols)
+		for c := 0; c < cols; c++ {
+			row[c] = relation.Int(int64(r % (7 + c)))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
+}
+
+// TestQueryLimitShortCircuitsRowScan proves the errLimitReached early exit
+// of the row path's scan: a LIMIT-k query over a large table must stop
+// scanning after k qualifying rows, observed through the
+// sqlengine.rows_scanned telemetry counter. (The batch path filters whole
+// column vectors and accounts every row, so the engine runs batch-off.)
+func TestQueryLimitShortCircuitsRowScan(t *testing.T) {
+	const total, limit = 100000, 10
+	e := NewEngine()
+	e.batchOff = true
+	e.Register(wideTable("Big", total, 3))
+
+	scanned := telemetry.Default().Counter("sqlengine.rows_scanned")
+	before := scanned.Value()
+	res, err := e.Query(fmt.Sprintf(`SELECT c0 FROM Big LIMIT %d`, limit))
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if res.NumRows() != limit {
+		t.Fatalf("rows = %d, want %d", res.NumRows(), limit)
+	}
+	if delta := scanned.Value() - before; delta != limit {
+		t.Errorf("scanned %d rows for an unfiltered LIMIT %d query, want exactly %d", delta, limit, limit)
+	}
+
+	// With a WHERE filter the scan may pass over non-qualifying rows, but
+	// must still stop as soon as the limit fills.
+	before = scanned.Value()
+	res, err = e.Query(fmt.Sprintf(`SELECT c0 FROM Big WHERE c0 > 0 LIMIT %d`, limit))
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if res.NumRows() != limit {
+		t.Fatalf("rows = %d, want %d", res.NumRows(), limit)
+	}
+	if delta := scanned.Value() - before; delta >= total/2 {
+		t.Errorf("scanned %d of %d rows for a filtered LIMIT %d query; limit did not short-circuit", delta, total, limit)
+	}
+}
+
+// TestQueryDistinctDropsCounter checks that both DISTINCT sites — the row
+// path's sink and the batch emitter — report their dedup drops to
+// telemetry.
+func TestQueryDistinctDropsCounter(t *testing.T) {
+	for _, batchOff := range []bool{false, true} {
+		e := NewEngine()
+		e.batchOff = batchOff
+		e.Register(wideTable("W", 70, 2)) // c0 cycles 0..6 -> 7 distinct, 63 drops
+		drops := telemetry.Default().Counter("sqlengine.distinct_drops")
+		before := drops.Value()
+		res, err := e.Query(`SELECT DISTINCT c0 FROM W`)
+		if err != nil {
+			t.Fatalf("batchOff=%v: Query: %v", batchOff, err)
+		}
+		if res.NumRows() != 7 {
+			t.Fatalf("batchOff=%v: rows = %d, want 7", batchOff, res.NumRows())
+		}
+		if delta := drops.Value() - before; delta != 63 {
+			t.Errorf("batchOff=%v: distinct_drops delta = %d, want 63", batchOff, delta)
+		}
 	}
 }

@@ -365,7 +365,7 @@ func (e *Engine) runJoin(p *plan, sink rowSink) error {
 		// engine's index cache; otherwise it is local to this run.
 		var index map[string][]relation.Row
 		if jp.rightFilter == nil {
-			index = e.indexes.forTable(p.tableKeys[1], right).hashIndex(jp.hashR)
+			index = e.caches.forTable(p.tableKeys[1], right).hashIndex(jp.hashR)
 		} else {
 			index = buildHashIndex(rightRows, jp.hashR)
 		}

@@ -23,7 +23,7 @@ func (e *Engine) runRangeJoin(p *plan, leftRows []relation.Row, emit func(l, r r
 	jp := p.join
 	right := p.sources[1]
 	driver := jp.cmps[jp.driver]
-	pos := e.indexes.forTable(p.tableKeys[1], right).sortedIndex(driver.ri)
+	pos := e.caches.forTable(p.tableKeys[1], right).sortedIndex(driver.ri)
 	met.rangeJoins.Inc()
 
 	var matches []int // reused across left rows

@@ -23,11 +23,11 @@ func versionTable(t *testing.T, name string, version int) *relation.Table {
 }
 
 // TestConcurrentRegisterQueryRace hammers one engine with registrations of
-// two tables racing live Query and QueryCount traffic. Under -race it
+// two tables racing live Query traffic on both executors. Under -race it
 // proves the snapshot registry is data-race free; on any build it asserts
 // the per-query consistency contract: a query never observes rows from a
 // half-replaced registration — every cell of every result row carries one
-// version stamp, and counts match the fixed per-version cardinality.
+// version stamp, and every result has the fixed per-version cardinality.
 func TestConcurrentRegisterQueryRace(t *testing.T) {
 	e := NewEngine()
 	e.Register(versionTable(t, "X", 0))
@@ -53,7 +53,7 @@ func TestConcurrentRegisterQueryRace(t *testing.T) {
 		}(name)
 	}
 
-	// Readers mix the scan, count and join paths over both tables.
+	// Readers mix batch scans, row-path scans and joins over both tables.
 	checkHomogeneous := func(res *relation.Table, lo, width int) error {
 		for _, row := range res.Rows {
 			v0 := row[lo].AsInt()
@@ -88,14 +88,14 @@ func TestConcurrentRegisterQueryRace(t *testing.T) {
 					errs <- err
 					return
 				}
-				// Counting path shares prepare/plan-cache with Query.
-				n, err := e.QueryCount("SELECT K FROM " + name + " WHERE A = B")
+				// ORDER BY runs on the row path, which shares the plan cache.
+				ordered, err := e.Query("SELECT K FROM " + name + " WHERE A = B ORDER BY K")
 				if err != nil {
 					errs <- err
 					return
 				}
-				if n != 3 {
-					errs <- fmt.Errorf("count %d, want 3 (A and B always share a version)", n)
+				if n := ordered.NumRows(); n != 3 {
+					errs <- fmt.Errorf("row path returned %d rows, want 3 (A and B always share a version)", n)
 					return
 				}
 				// Join path: each side binds one snapshot, so the left

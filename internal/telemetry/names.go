@@ -59,7 +59,6 @@ var KnownMetrics = []MetricName{
 	{Name: "sqlengine.batch_rows", Kind: "counter"},
 	{Name: "sqlengine.batch_scans", Kind: "counter"},
 	{Name: "sqlengine.batch_selectivity", Kind: "histogram"},
-	{Name: "sqlengine.count_queries", Kind: "counter"},
 	{Name: "sqlengine.distinct_drops", Kind: "counter"},
 	{Name: "sqlengine.exec_ns", Kind: "histogram"},
 	{Name: "sqlengine.index_builds", Kind: "counter"},
@@ -73,7 +72,6 @@ var KnownMetrics = []MetricName{
 	{Name: "sqlengine.range_joins", Kind: "counter"},
 	{Name: "sqlengine.rows_emitted", Kind: "counter"},
 	{Name: "sqlengine.rows_scanned", Kind: "counter"},
-	{Name: "sqlengine.table_appends", Kind: "counter"},
 	{Name: "sqlengine.table_swaps", Kind: "counter"},
 	{Name: "sqlengine.vector_builds", Kind: "counter"},
 	{Name: "stream.checkpoints_written", Kind: "counter"},
